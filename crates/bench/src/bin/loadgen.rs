@@ -1,19 +1,15 @@
-//! `loadgen` — a concurrent load generator for `ltt-serve` daemons and
-//! `ltt-router` fleets.
+//! `loadgen` — a concurrent load generator for `ltt-serve` daemons.
 //!
 //! Spawns N client connections, each issuing M `check` requests against a
 //! set of registered circuits, and reports throughput plus latency
-//! percentiles. With no `--addr`, an in-process target is started on an
-//! ephemeral port and drained at the end — a single daemon by default, a
-//! router over `--fleet K` in-process backends when asked — so one
-//! command exercises the full serving (or fleet) path; the CI smoke and
-//! chaos jobs run exactly that.
+//! percentiles. With no `--addr`, an in-process daemon is started on an
+//! ephemeral port and drained at the end, so one command exercises the
+//! full serving path; the CI smoke job runs exactly that.
 //!
 //! ```text
 //! loadgen [--addr A] [--clients N] [--requests M]
 //!         [--circuit c17|figure1|adder] [--circuits K] [--zipf S]
-//!         [--fleet B] [--replicas R] [--verify] [--churn R]
-//!         [--jobs J] [--queue-cap Q]
+//!         [--verify] [--churn R] [--jobs J] [--queue-cap Q]
 //! ```
 //!
 //! `--circuits K` spreads load over K circuit variants (the named circuit
@@ -22,9 +18,8 @@
 //! head, the shape real registry traffic has). `--verify` precomputes
 //! every check's expected outcome with an in-process [`CheckSession`] and
 //! counts any served reply that disagrees — served answers must be
-//! *identical* to local ones no matter how many hops or failovers the
-//! fleet inserted. `--churn R` makes every R-th request an ECO `patch`
-//! (re-annotating the delay of the first output's driver, with an
+//! *identical* to local ones. `--churn R` makes every R-th request an ECO
+//! `patch` (re-annotating the delay of the first output's driver, with an
 //! all-outputs re-check bundled in the same round-trip); those
 //! incremental re-verifications report their own latency percentiles,
 //! separate from the steady-state check latencies. Churned revisions
@@ -34,8 +29,8 @@
 //!
 //! Exit code 0 when every request was answered correctly (violations are
 //! expected — the load mix probes around each output's exact delay;
-//! `overloaded`/`unavailable`/`shutting_down` rejections are counted but
-//! tolerated: they are the backpressure contract, not wrong answers);
+//! `overloaded`/`shutting_down` rejections are counted but tolerated:
+//! they are the backpressure contract, not wrong answers);
 //! 1 when any request failed, any verified reply mismatched, or the
 //! transport broke.
 
@@ -44,7 +39,7 @@ use ltt_netlist::bench_format::write_bench;
 use ltt_netlist::generators::{carry_skip_adder, figure1, random_circuit, RandomCircuitConfig};
 use ltt_netlist::suite::c17;
 use ltt_netlist::Circuit;
-use ltt_serve::{percentile, Client, Json, Router, RouterConfig, ServeConfig, Server};
+use ltt_serve::{percentile, Client, Json, ServeConfig, Server};
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -56,8 +51,6 @@ struct Args {
     circuit: String,
     circuits: usize,
     zipf: f64,
-    fleet: usize,
-    replicas: usize,
     verify: bool,
     churn: usize,
     jobs: usize,
@@ -73,8 +66,6 @@ fn parse_args() -> Result<Args, String> {
         circuit: "c17".to_string(),
         circuits: 1,
         zipf: 0.0,
-        fleet: 0,
-        replicas: 2,
         verify: false,
         churn: 0,
         jobs: 0,
@@ -109,16 +100,6 @@ fn parse_args() -> Result<Args, String> {
                 args.zipf = value("--zipf")?
                     .parse()
                     .map_err(|_| "--zipf needs a number")?
-            }
-            "--fleet" => {
-                args.fleet = value("--fleet")?
-                    .parse()
-                    .map_err(|_| "--fleet needs an integer")?
-            }
-            "--replicas" => {
-                args.replicas = value("--replicas")?
-                    .parse()
-                    .map_err(|_| "--replicas needs an integer")?
             }
             "--verify" => args.verify = true,
             "--churn" => {
@@ -175,7 +156,7 @@ struct Variant {
 
 /// Builds the variant set: variant 0 is the named circuit, variants 1..K
 /// are deterministic random DAGs (distinct seeds, so distinct content
-/// hashes — each gets its own ring owner).
+/// hashes — each is its own registry entry).
 fn build_variants(args: &Args, base: &Circuit) -> Vec<Variant> {
     (0..args.circuits)
         .map(|i| {
@@ -265,8 +246,8 @@ struct Tally {
     safe: u64,
     undecided: u64,
     failures: u64,
-    /// Structured backpressure: `overloaded`, `unavailable`, or
-    /// `shutting_down` — honest "not now" answers, not wrong ones.
+    /// Structured backpressure: `overloaded` or `shutting_down` — honest
+    /// "not now" answers, not wrong ones.
     rejected: u64,
     /// `--verify` replies whose outcome differed from the local oracle.
     mismatched: u64,
@@ -284,7 +265,7 @@ fn run_client(
     let mut client = Client::connect(addr)?;
     // Every client registers every variant: the first miss parses, the
     // rest hit the content-hashed cache — which is itself part of the
-    // workload (and, through a router, exercises the replica fan-out).
+    // workload.
     let mut ids: HashMap<usize, String> = HashMap::new();
     for (v, variant) in variants.iter().enumerate() {
         let reply = client.call(&Json::obj([
@@ -380,7 +361,7 @@ fn run_client(
                     .and_then(Json::as_str)
                     .unwrap_or("");
                 match code {
-                    "overloaded" | "unavailable" | "shutting_down" => tally.rejected += 1,
+                    "overloaded" | "shutting_down" => tally.rejected += 1,
                     _ => {
                         tally.failures += 1;
                         eprintln!("loadgen: request failed: {}", reply.encode());
@@ -390,19 +371,6 @@ fn run_client(
         }
     }
     Ok(tally)
-}
-
-/// The in-process target started when no `--addr` is given: a single
-/// daemon, or a router fronting a spawned fleet.
-enum LocalTarget {
-    Server(
-        ltt_serve::ServerHandle,
-        std::thread::JoinHandle<std::io::Result<()>>,
-    ),
-    Router(
-        ltt_serve::RouterHandle,
-        std::thread::JoinHandle<std::io::Result<()>>,
-    ),
 }
 
 fn main() -> ExitCode {
@@ -423,30 +391,9 @@ fn main() -> ExitCode {
     let variants = build_variants(&args, &base);
     let cdf = zipf_cdf(variants.len(), args.zipf);
 
-    // Target: an external daemon/router, or a fresh in-process one.
+    // Target: an external daemon, or a fresh in-process one.
     let (addr, local) = match &args.addr {
         Some(addr) => (addr.clone(), None),
-        None if args.fleet > 0 => {
-            let config = RouterConfig {
-                spawn: args.fleet,
-                backend_jobs: args.jobs,
-                backend_queue_cap: args.queue_cap,
-                backend_registry_cap: variants.len().max(16),
-                replicas: args.replicas,
-                ..Default::default()
-            };
-            let router = match Router::bind(config) {
-                Ok(router) => router,
-                Err(e) => {
-                    eprintln!("loadgen: router bind failed: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            let addr = router.local_addr().expect("bound router").to_string();
-            let handle = router.handle();
-            let join = std::thread::spawn(move || router.run());
-            (addr, Some(LocalTarget::Router(handle, join)))
-        }
         None => {
             let config = ServeConfig {
                 addr: "127.0.0.1:0".to_string(),
@@ -464,7 +411,7 @@ fn main() -> ExitCode {
             let addr = server.local_addr().expect("bound server").to_string();
             let handle = server.handle();
             let join = std::thread::spawn(move || server.run());
-            (addr, Some(LocalTarget::Server(handle, join)))
+            (addr, Some((handle, join)))
         }
     };
     println!(
@@ -559,7 +506,7 @@ fn main() -> ExitCode {
 
     // Drain the target (ours, or the external one when asked to).
     match local {
-        Some(LocalTarget::Server(handle, join)) => {
+        Some((handle, join)) => {
             if args.shutdown {
                 handle.shutdown();
             }
@@ -571,22 +518,6 @@ fn main() -> ExitCode {
                 }
                 Err(_) => {
                     eprintln!("loadgen: server thread panicked");
-                    transport_errors += 1;
-                }
-            }
-        }
-        Some(LocalTarget::Router(handle, join)) => {
-            if args.shutdown {
-                handle.shutdown();
-            }
-            match join.join() {
-                Ok(Ok(())) => println!("router drained cleanly"),
-                Ok(Err(e)) => {
-                    eprintln!("loadgen: router error: {e}");
-                    transport_errors += 1;
-                }
-                Err(_) => {
-                    eprintln!("loadgen: router thread panicked");
                     transport_errors += 1;
                 }
             }

@@ -102,7 +102,7 @@ impl Default for Options {
 }
 
 const USAGE: &str =
-    "usage: ltt <info|check|delay|patch|report|convert|serve|router|client> <netlist> [options]
+    "usage: ltt <info|check|delay|patch|report|convert|simulate|explain|serve|client> <netlist> [options]
 run `ltt help` for the full option list";
 
 /// Entry point used by `main` (and the tests).
@@ -114,27 +114,26 @@ pub fn run(args: &[String]) -> Result<RunStatus, Error> {
         println!("{}", long_help());
         return Ok(RunStatus::Clean);
     }
-    // `serve`, `router`, and `client` take no netlist positional; they
-    // branch before the common option parser.
-    match command.as_str() {
+    // `serve` and `client` take no netlist positional; they branch before
+    // the common option parser. Every other command is resolved before
+    // its options are parsed, so an unknown command is reported as such.
+    let netlist_command: fn(&Circuit, &Options) -> Result<RunStatus, Error> = match command.as_str()
+    {
         "serve" => return cmd_serve(&args[1..]),
-        "router" => return cmd_router(&args[1..]),
         "client" => return cmd_client(&args[1..]),
-        _ => {}
-    }
+        "info" => |circuit, _| cmd_info(circuit),
+        "check" => cmd_check,
+        "delay" => cmd_delay,
+        "patch" => cmd_patch,
+        "report" => cmd_report,
+        "convert" => cmd_convert,
+        "simulate" => cmd_simulate,
+        "explain" => cmd_explain,
+        other => return Err(Error::usage(format!("unknown command `{other}`\n{USAGE}"))),
+    };
     let opts = parse_options(&args[1..])?;
     let circuit = load_circuit(&opts)?;
-    match command.as_str() {
-        "info" => cmd_info(&circuit),
-        "check" => cmd_check(&circuit, &opts),
-        "delay" => cmd_delay(&circuit, &opts),
-        "patch" => cmd_patch(&circuit, &opts),
-        "report" => cmd_report(&circuit, &opts),
-        "convert" => cmd_convert(&circuit, &opts),
-        "simulate" => cmd_simulate(&circuit, &opts),
-        "explain" => cmd_explain(&circuit, &opts),
-        other => Err(Error::usage(format!("unknown command `{other}`\n{USAGE}"))),
-    }
+    netlist_command(&circuit, &opts)
 }
 
 fn long_help() -> String {
@@ -162,12 +161,6 @@ COMMANDS
                                    (newline-delimited JSON over TCP;
                                    default addr 127.0.0.1:7171, :0 picks
                                    an ephemeral port and prints it)
-  router  --backend A [--backend B ...] | --spawn N
-                                   run the fault-tolerant fleet front
-                                   tier: consistent-hash placement over
-                                   the backends, health probes, circuit
-                                   breakers, backoff retry + failover
-                                   (same wire protocol as `serve`)
   client  <requests.json> [--addr A] [--timeout-ms T]
                                    send request lines to a daemon and
                                    print the responses (`-` reads stdin;
@@ -218,21 +211,6 @@ PATCH OPTIONS
   --set-delay GATE=D        re-annotate a gate's delay (GATE is its
                             output net; D or LO:HI interval; repeatable)
   --rewire GATE=a,b,..      replace a gate's input nets (repeatable)
-
-ROUTER OPTIONS
-  --addr A                  bind address (default 127.0.0.1:7070, :0 ephemeral)
-  --backend A               a backend daemon address (repeatable)
-  --spawn N                 spawn N in-process backends instead (testing)
-  --replicas R              backends each circuit registers on (2)
-  --jobs N / --queue-cap Q  forwarding pool size / admission bound
-  --retries N               retry rounds over the candidate list (3)
-  --backoff-ms B            first-round backoff, doubled per round (10)
-  --breaker-threshold K     consecutive failures that open a breaker (3)
-  --breaker-cooldown-ms C   open-breaker cooldown before a probe (1000)
-  --health-interval-ms H    status-probe period per backend (1000)
-  --connect-timeout-ms T    backend connect bound (1000)
-  --rpc-timeout-ms T        backend round-trip bound (30000)
-  --max-line-bytes L        request/reply line cap (16 MiB)
 
 EXIT CODES
   0  every check completed, no violation
@@ -422,84 +400,6 @@ fn cmd_serve(args: &[String]) -> Result<RunStatus, Error> {
     }
     ltt_serve::serve(&config).map_err(|e| Error::Io {
         path: config.addr.clone(),
-        message: e.to_string(),
-    })?;
-    Ok(RunStatus::Clean)
-}
-
-/// `ltt router`: run the sharded-fleet front tier until a `shutdown`
-/// request drains it.
-fn cmd_router(args: &[String]) -> Result<RunStatus, Error> {
-    let mut config = ltt_serve::RouterConfig {
-        addr: "127.0.0.1:7070".to_string(),
-        ..Default::default()
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, Error> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| Error::usage(format!("{name} needs a value")))
-        };
-        let arg = arg.as_str();
-        // The duration-valued flags share one parse-and-assign path.
-        let duration_slot: Option<&mut std::time::Duration> = match arg {
-            "--backoff-ms" => Some(&mut config.backoff_base),
-            "--backoff-cap-ms" => Some(&mut config.backoff_cap),
-            "--breaker-cooldown-ms" => Some(&mut config.breaker_cooldown),
-            "--health-interval-ms" => Some(&mut config.health_interval),
-            "--connect-timeout-ms" => Some(&mut config.connect_timeout),
-            "--rpc-timeout-ms" => Some(&mut config.rpc_timeout),
-            _ => None,
-        };
-        if let Some(slot) = duration_slot {
-            let ms: u64 = value(arg)?
-                .parse()
-                .map_err(|_| Error::usage(format!("{arg} needs an integer (milliseconds)")))?;
-            *slot = std::time::Duration::from_millis(ms);
-            continue;
-        }
-        let usize_slot: Option<&mut usize> = match arg {
-            "--spawn" => Some(&mut config.spawn),
-            "--replicas" => Some(&mut config.replicas),
-            "--jobs" => Some(&mut config.jobs),
-            "--queue-cap" => Some(&mut config.queue_cap),
-            "--backend-jobs" => Some(&mut config.backend_jobs),
-            "--backend-queue-cap" => Some(&mut config.backend_queue_cap),
-            "--backend-registry-cap" => Some(&mut config.backend_registry_cap),
-            "--max-line-bytes" => Some(&mut config.max_line_bytes),
-            _ => None,
-        };
-        if let Some(slot) = usize_slot {
-            *slot = value(arg)?
-                .parse()
-                .map_err(|_| Error::usage(format!("{arg} needs an integer")))?;
-            continue;
-        }
-        match arg {
-            "--addr" => config.addr = value("--addr")?,
-            "--backend" => config.backends.push(value("--backend")?),
-            "--retries" => {
-                config.max_retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| Error::usage("--retries needs an integer"))?
-            }
-            "--breaker-threshold" => {
-                config.breaker_threshold = value("--breaker-threshold")?
-                    .parse()
-                    .map_err(|_| Error::usage("--breaker-threshold needs an integer"))?
-            }
-            other => return Err(Error::usage(format!("unknown router option `{other}`"))),
-        }
-    }
-    if config.backends.is_empty() && config.spawn == 0 {
-        return Err(Error::usage(
-            "router needs at least one --backend (or --spawn N)",
-        ));
-    }
-    let addr = config.addr.clone();
-    ltt_serve::route(config).map_err(|e| Error::Io {
-        path: addr,
         message: e.to_string(),
     })?;
     Ok(RunStatus::Clean)

@@ -499,7 +499,22 @@ impl BatchRunner {
     }
 
     /// Runs [`CheckSession::exact_delay`] for every primary output, in
-    /// parallel. Results are in output-declaration order.
+    /// parallel. Results are in output-declaration order. Their maximum
+    /// is the circuit's exact floating-mode delay — the quantity the
+    /// paper's Table 1 reports — when every search is `proven_exact`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{BatchRunner, CheckSession, VerifyConfig};
+    /// use ltt_netlist::suite::c17_nor;
+    ///
+    /// let c = c17_nor(10);
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// let searches = BatchRunner::serial().exact_delays(&session);
+    /// assert_eq!(searches.iter().map(|s| s.delay).max(), Some(50));
+    /// assert!(searches.iter().all(|s| s.proven_exact));
+    /// ```
     ///
     /// # Panics
     ///

@@ -3,25 +3,23 @@
 //! and case analysis — with per-stage verdicts matching the columns of the
 //! paper's Table 1.
 //!
-//! The free functions here ([`verify`], [`exact_delay`],
-//! [`verify_all_outputs`], …) are convenience wrappers: each opens a
-//! single-use [`CheckSession`] and runs the checks through it. Workloads
-//! with more than one check per circuit should open the session themselves
-//! (and fan out with a [`BatchRunner`](crate::BatchRunner)) so the
-//! per-circuit analyses are prepared once instead of per call.
+//! The free functions [`verify`] and [`exact_delay`] are convenience
+//! wrappers: each opens a single-use [`CheckSession`] and runs the check
+//! through it. Workloads with more than one check per circuit should open
+//! the session themselves (and fan out with a
+//! [`BatchRunner`](crate::BatchRunner)) so the per-circuit analyses are
+//! prepared once instead of per call.
 
 use crate::budget::{Budget, TripReason};
 use crate::carriers::fixpoint_with_dominators;
 use crate::failpoint;
 use crate::fan::{CaseConfig, CaseOutcome, CaseStats};
-use crate::learning::ImplicationTable;
 use crate::obs::Obs;
 use crate::prepared::{CheckSession, PreparedCircuit};
 use crate::solver::{FixpointResult, Narrower, SolverStats};
 use crate::stems::{correlation_stems_masked, stem_correlation, StemStats};
 use ltt_netlist::{Circuit, NetId};
 use ltt_waveform::{Signal, Time};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Circuit delay mode: which abstract waveforms are applied to the primary
@@ -383,38 +381,6 @@ pub struct VerifyReport {
     pub elapsed: Duration,
 }
 
-/// Runs the timing check `σ = (ξ, output, δ)` under *assumptions*: each
-/// `(net, level)` pins a net's settling class before narrowing starts (the
-/// industrial `set_case_analysis` idiom — constant mode pins, unused
-/// inputs, scan enables). Everything else is [`verify`].
-///
-/// # Examples
-///
-/// ```
-/// use ltt_core::{verify, verify_under, VerifyConfig};
-/// use ltt_netlist::generators::figure1;
-/// use ltt_waveform::Level;
-///
-/// let c = figure1(10);
-/// let s = c.outputs()[0];
-/// let e5 = c.net_by_name("e5").unwrap();
-/// let config = VerifyConfig::default();
-/// // Unconstrained, δ = 60 is violated…
-/// assert!(verify(&c, s, 60, &config).verdict.is_violation());
-/// // …but pinning e5 = 0 blocks the critical AND g4: no violation.
-/// let r = verify_under(&c, s, 60, &[(e5, Level::Zero)], &config);
-/// assert!(r.verdict.is_no_violation());
-/// ```
-pub fn verify_under(
-    circuit: &Circuit,
-    output: NetId,
-    delta: i64,
-    assumptions: &[(NetId, ltt_waveform::Level)],
-    config: &VerifyConfig,
-) -> VerifyReport {
-    CheckSession::new(circuit, config.clone()).verify_under(output, delta, assumptions)
-}
-
 /// Runs the timing check `σ = (ξ, output, δ)` through the configured
 /// pipeline (Fig. 4, extended with the paper's §5 stages).
 ///
@@ -436,19 +402,6 @@ pub fn verify_under(
 /// ```
 pub fn verify(circuit: &Circuit, output: NetId, delta: i64, config: &VerifyConfig) -> VerifyReport {
     CheckSession::new(circuit, config.clone()).verify(output, delta)
-}
-
-/// [`verify`] with a pre-computed learning table (the table depends only on
-/// the circuit, so it can be shared across the checks of a delay search).
-pub fn verify_with_learning(
-    circuit: &Circuit,
-    output: NetId,
-    delta: i64,
-    config: &VerifyConfig,
-    table: Option<Arc<ImplicationTable>>,
-) -> VerifyReport {
-    let prepared = PreparedCircuit::with_table(circuit, table);
-    CheckSession::with_prepared(prepared, config.clone()).verify(output, delta)
 }
 
 /// Clamps a `u64` counter into the `i64` range of a span argument.
@@ -754,29 +707,10 @@ pub fn exact_delay(circuit: &Circuit, output: NetId, config: &VerifyConfig) -> D
     CheckSession::new(circuit, config.clone()).exact_delay(output)
 }
 
-/// Verifies a δ against **all** outputs: returns `NoViolation` only when no
-/// output can violate (the Table 1 semantics: "N: no violation of the
-/// timing-check constraint on any circuit output is possible").
-///
-/// The base fixpoint (floating inputs, learning constants, but no δ
-/// constraint) is computed **once** per session and every per-output check
-/// is seeded from it. This is the serial entry point; use
-/// [`BatchRunner::verify_all_outputs`](crate::BatchRunner::verify_all_outputs)
-/// to fan the outputs over worker threads (same reports, by construction).
-pub fn verify_all_outputs(
-    circuit: &Circuit,
-    delta: i64,
-    config: &VerifyConfig,
-) -> Vec<VerifyReport> {
-    let session = CheckSession::new(circuit, config.clone());
-    crate::batch::BatchRunner::serial()
-        .verify_all_outputs(&session, delta)
-        .reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchRunner;
     use ltt_netlist::generators::{carry_skip_adder, cascade, false_path_chain, figure1};
     use ltt_netlist::suite::c17;
     use ltt_netlist::GateKind;
@@ -882,10 +816,15 @@ mod tests {
     #[test]
     fn verify_all_outputs_covers_every_output() {
         let c = c17(10);
-        let reports = verify_all_outputs(&c, 31, &VerifyConfig::default());
+        let session = CheckSession::new(&c, VerifyConfig::default());
+        let reports = BatchRunner::serial()
+            .verify_all_outputs(&session, 31)
+            .reports;
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.verdict.is_no_violation()));
-        let reports = verify_all_outputs(&c, 30, &VerifyConfig::default());
+        let reports = BatchRunner::serial()
+            .verify_all_outputs(&session, 30)
+            .reports;
         assert!(reports.iter().any(|r| r.verdict.is_violation()));
     }
 
@@ -1039,47 +978,26 @@ mod profile_tests {
     }
 }
 
-/// The exact floating-mode delay of the whole circuit: the maximum
-/// [`exact_delay`] over all primary outputs, sharing one [`CheckSession`]
-/// (learning table, SCOAP, base fixpoint). This is the quantity the
-/// paper's Table 1 reports per circuit ("the value of δ for which a test
-/// vector is found represents the exact floating-mode delay of the circuit
-/// when the constraint system is inconsistent for (δ + 1) on all
-/// outputs").
-///
-/// Returns the per-output searches alongside the circuit-level result.
-///
-/// # Examples
-///
-/// ```
-/// use ltt_core::{exact_circuit_delay, VerifyConfig};
-/// use ltt_netlist::suite::c17_nor;
-///
-/// let c = c17_nor(10);
-/// let (delay, proven, _per_output) = exact_circuit_delay(&c, &VerifyConfig::default());
-/// assert_eq!(delay, 50);
-/// assert!(proven);
-/// ```
-pub fn exact_circuit_delay(
-    circuit: &Circuit,
-    config: &VerifyConfig,
-) -> (i64, bool, Vec<DelaySearch>) {
-    let session = CheckSession::new(circuit, config.clone());
-    let searches = crate::batch::BatchRunner::serial().exact_delays(&session);
-    let delay = searches.iter().map(|s| s.delay).max().unwrap_or(0);
-    let proven = searches.iter().all(|s| s.proven_exact);
-    (delay, proven, searches)
-}
-
 #[cfg(test)]
 mod circuit_delay_tests {
     use super::*;
+    use crate::BatchRunner;
     use ltt_netlist::generators::{carry_skip_adder, figure1};
+
+    /// The whole-circuit exact delay the paper's Table 1 reports: the
+    /// maximum per-output [`exact_delay`], and whether every search was
+    /// proven exact.
+    fn exact_circuit_delay(circuit: &Circuit) -> (i64, bool, Vec<DelaySearch>) {
+        let session = CheckSession::new(circuit, VerifyConfig::default());
+        let searches = BatchRunner::serial().exact_delays(&session);
+        let delay = searches.iter().map(|s| s.delay).max().unwrap_or(0);
+        let proven = searches.iter().all(|s| s.proven_exact);
+        (delay, proven, searches)
+    }
 
     #[test]
     fn figure1_circuit_delay_is_60() {
-        let (delay, proven, per_output) =
-            exact_circuit_delay(&figure1(10), &VerifyConfig::default());
+        let (delay, proven, per_output) = exact_circuit_delay(&figure1(10));
         assert_eq!(delay, 60);
         assert!(proven);
         assert_eq!(per_output.len(), 1);
@@ -1089,7 +1007,7 @@ mod circuit_delay_tests {
     #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
     fn carry_skip_circuit_delay_covers_all_outputs() {
         let c = carry_skip_adder(8, 4, 10);
-        let (delay, proven, per_output) = exact_circuit_delay(&c, &VerifyConfig::default());
+        let (delay, proven, per_output) = exact_circuit_delay(&c);
         assert!(proven);
         assert_eq!(per_output.len(), c.outputs().len());
         // The circuit delay dominates every per-output delay.

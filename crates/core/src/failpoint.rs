@@ -24,11 +24,6 @@ mod imp {
         Panic(String),
         /// Sleep for the given duration, then continue normally.
         Stall(Duration),
-        /// Signal the site to simulate a failure in a site-specific way
-        /// (e.g. the serve layer drops the connection instead of
-        /// replying). Only observable through [`hit_flagged`]; plain
-        /// [`hit`] sites ignore it.
-        Flag,
     }
 
     #[derive(Clone, Debug)]
@@ -72,56 +67,22 @@ mod imp {
         }
     }
 
-    /// Called by the pipeline at each instrumented site. A [`Flag`]
-    /// action is ignored here — only [`hit_flagged`] sites can act on it.
-    ///
-    /// [`Flag`]: FailAction::Flag
+    /// Called by the pipeline at each instrumented site.
     pub fn hit(point: &str, context: &str) {
         match armed_action(point, context) {
             Some(FailAction::Panic(message)) => {
                 panic!("failpoint {point} ({context}): {message}")
             }
             Some(FailAction::Stall(duration)) => std::thread::sleep(duration),
-            Some(FailAction::Flag) | None => {}
-        }
-    }
-
-    /// Like [`hit`], but additionally reports whether the site was armed
-    /// with [`FailAction::Flag`] — the site then simulates a failure in
-    /// whatever way is native to it (the serve layer, for example, drops
-    /// the connection instead of replying). Panic and stall actions
-    /// behave exactly as in [`hit`] and return `false`.
-    pub fn hit_flagged(point: &str, context: &str) -> bool {
-        match armed_action(point, context) {
-            Some(FailAction::Flag) => true,
-            Some(FailAction::Panic(message)) => {
-                panic!("failpoint {point} ({context}): {message}")
-            }
-            Some(FailAction::Stall(duration)) => {
-                std::thread::sleep(duration);
-                false
-            }
-            None => false,
+            None => {}
         }
     }
 }
 
 #[cfg(feature = "failpoints")]
-pub use imp::{clear_all, hit, hit_flagged, set, FailAction};
+pub use imp::{clear_all, hit, set, FailAction};
 
 /// No-op hook when the `failpoints` feature is off.
 #[cfg(not(feature = "failpoints"))]
 #[inline(always)]
 pub fn hit(_point: &str, _context: &str) {}
-
-/// No-op flag query when the `failpoints` feature is off: never armed.
-///
-/// Exported unconditionally so downstream crates (the serve tier's chaos
-/// layer) can instrument sites without growing a feature of their own —
-/// the hook is one inlined `false` until something in the build graph
-/// turns `ltt-core/failpoints` on.
-#[cfg(not(feature = "failpoints"))]
-#[inline(always)]
-pub fn hit_flagged(_point: &str, _context: &str) -> bool {
-    false
-}

@@ -23,16 +23,20 @@
 //!    splitting that finds a certified violating test vector or proves no
 //!    violation is possible (§5).
 //!
-//! The top-level entry points are [`verify`] (one check, with the per-stage
-//! verdicts of the paper's Table 1), [`verify_all_outputs`], and
-//! [`exact_delay`] (binary search for the exact floating-mode delay).
+//! The entry point is a [`CheckSession`], which computes every per-circuit
+//! analysis once via [`PreparedCircuit`] and seeds each check from a
+//! shared base fixpoint: [`CheckSession::verify`] runs one check with the
+//! per-stage verdicts of the paper's Table 1,
+//! [`CheckSession::verify_under`] adds assumptions, and
+//! [`CheckSession::exact_delay`] binary-searches the exact floating-mode
+//! delay. A [`BatchRunner`] fans many checks out over worker threads —
+//! all outputs at one δ ([`BatchRunner::verify_all_outputs`]), every
+//! output's delay ([`BatchRunner::exact_delays`]) — with parallel results
+//! bit-identical to serial ones by construction.
 //!
-//! Workloads with many checks per circuit — all outputs at one δ, a delay
-//! search, a benchmark suite — should open a [`CheckSession`] (which
-//! computes every per-circuit analysis once via [`PreparedCircuit`] and
-//! seeds each check from a shared base fixpoint) and fan the checks out
-//! with a [`BatchRunner`]; parallel results are bit-identical to serial
-//! ones by construction.
+//! [`verify`] and [`exact_delay`] are one-shot wrappers that open a
+//! single-use session, and [`delay_profile`] is the reference δ sweep
+//! with one narrower.
 //!
 //! # Example
 //!
@@ -79,12 +83,11 @@ pub mod stems;
 pub use batch::{available_jobs, BatchCheck, BatchError, BatchOutcome, BatchRunner, BatchSummary};
 pub use budget::{ArmedBudget, Budget, CancelToken, TripReason};
 pub use check::{
-    delay_profile, exact_circuit_delay, exact_delay, verify, verify_all_outputs, verify_under,
-    verify_with_learning, Completeness, ConeMode, DelayMode, DelaySearch, Engine, LearningMode,
-    ProfilePoint, Stage, StageEffort, StageTimes, StageVerdict, Verdict, VerifyConfig,
-    VerifyReport,
+    delay_profile, exact_delay, verify, Completeness, ConeMode, DelayMode, DelaySearch, Engine,
+    LearningMode, ProfilePoint, Stage, StageEffort, StageTimes, StageVerdict, Verdict,
+    VerifyConfig, VerifyReport,
 };
-pub use domain::{Checkpoint, DomainStore, SignalStore};
+pub use domain::{Checkpoint, SignalStore};
 pub use error::{CheckError, Error};
 pub use explain::{explain, Explanation};
 pub use fan::{fill_level, CaseConfig, CaseOutcome, CaseScope, CaseStats};

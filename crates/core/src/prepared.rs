@@ -829,7 +829,25 @@ impl<'c> CheckSession<'c> {
 
     /// [`CheckSession::verify`] under assumptions: each `(net, level)` pins
     /// a net's settling class before propagation (the `set_case_analysis`
-    /// idiom).
+    /// idiom — constant mode pins, unused inputs, scan enables).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltt_core::{CheckSession, VerifyConfig};
+    /// use ltt_netlist::generators::figure1;
+    /// use ltt_waveform::Level;
+    ///
+    /// let c = figure1(10);
+    /// let s = c.outputs()[0];
+    /// let e5 = c.net_by_name("e5").unwrap();
+    /// let session = CheckSession::new(&c, VerifyConfig::default());
+    /// // Unconstrained, δ = 60 is violated…
+    /// assert!(session.verify(s, 60).verdict.is_violation());
+    /// // …but pinning e5 = 0 blocks the critical AND g4: no violation.
+    /// let r = session.verify_under(s, 60, &[(e5, Level::Zero)]);
+    /// assert!(r.verdict.is_no_violation());
+    /// ```
     pub fn verify_under(
         &self,
         output: NetId,

@@ -1,13 +1,13 @@
 //! A small blocking client for the serving protocol.
 //!
-//! Used by `ltt client`, the `loadgen` load generator, the router's
-//! health checker, and the integration tests. One [`Client`] is one
+//! Used by `ltt client`, the `loadgen` load generator, and the
+//! integration tests. One [`Client`] is one
 //! connection; requests can be pipelined ([`Client::send`] several lines,
 //! then [`Client::recv`] the replies) or issued RPC-style with
 //! [`Client::call`].
 //!
 //! By default every operation blocks indefinitely — correct for a trusted
-//! local daemon, wrong for a fleet where a backend can wedge. Use
+//! local daemon, wrong for one that can wedge. Use
 //! [`Client::connect_timeout`] and [`Client::set_read_timeout`] (or the
 //! CLI's `--timeout-ms`) to bound the wait: an expired timeout surfaces
 //! as an [`io::Error`](std::io::Error) of kind

@@ -27,13 +27,6 @@
 //!   work is refused).
 //! * [`client`] — a small blocking client used by `ltt client`, the
 //!   `loadgen` load generator, and the integration tests.
-//! * [`router`] — a fault-tolerant **sharded-fleet front tier**:
-//!   consistent-hash placement over N backends, per-backend circuit
-//!   breakers and health probes, backoff retry with failover
-//!   re-registration, and graceful drain — speaking the same wire
-//!   protocol, forwarding backend replies verbatim so the bit-identity
-//!   contract survives the extra hop ([`backend`] holds the pooled
-//!   per-backend transport).
 //! * [`metrics`] — Prometheus-text exposition primitives: the lock-free
 //!   latency [`Histogram`] behind the daemon's `metrics` operation and
 //!   the shared [`percentile`] helper.
@@ -47,17 +40,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod client;
 mod lineio;
 pub mod metrics;
 pub mod proto;
 pub mod registry;
-pub mod router;
 pub mod server;
 pub mod wire;
 
-pub use backend::{Backend, BackendOpts, Breaker, RpcError};
 pub use client::{is_timeout, Client};
 pub use metrics::{percentile, Histogram};
 pub use proto::{CheckSet, EditSpec, ErrorCode, ProtoError, Request, RequestBody, RunOpts};
@@ -65,6 +55,5 @@ pub use registry::{
     content_id, patched_id, session_config, CircuitEntry, CircuitRegistry, PatchOutcome,
     RegistryStats,
 };
-pub use router::{route, Router, RouterConfig, RouterHandle};
 pub use server::{serve, ServeConfig, Server, ServerHandle};
 pub use wire::{decode, Json, WireError};

@@ -1,8 +1,6 @@
 //! Length-capped newline-delimited line reading.
 //!
-//! Every socket in the serving tier — daemon readers, the router's
-//! client-facing readers, and the router's backend RPC connections —
-//! frames messages as one line of JSON. A plain
+//! Every daemon connection frames messages as one line of JSON. A plain
 //! [`read_line`](std::io::BufRead::read_line) buffers without bound, so a
 //! single malicious or buggy peer that never sends `\n` balloons the
 //! process until the allocator gives out. [`CappedLineReader`] enforces a

@@ -110,76 +110,19 @@ impl Histogram {
     /// `{name}_bucket{le="..."}` samples (including `le="+Inf"`), then
     /// `{name}_sum` (seconds) and `{name}_count`.
     pub fn render(&self, out: &mut String, name: &str, help: &str) {
-        render_family(out, name, "histogram", help);
-        self.render_series(out, name, &[]);
-    }
-
-    /// Renders the histogram's sample series with extra labels merged into
-    /// every line, and **no** `# HELP`/`# TYPE` header — the caller emits
-    /// the family header once (via [`render_family`]) and then one series
-    /// per label set, which is how a per-backend latency family must be
-    /// laid out (one header, N labeled series).
-    pub fn render_series(&self, out: &mut String, name: &str, labels: &[(&str, &str)]) {
         use std::fmt::Write;
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} histogram");
         let cumulative = self.cumulative();
-        let prefix = label_text(labels);
-        let joiner = if prefix.is_empty() { "" } else { "," };
         for (slot, &bound) in LATENCY_BUCKETS_S.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{prefix}{joiner}le=\"{bound}\"}} {}",
-                cumulative[slot]
-            );
+            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {}", cumulative[slot]);
         }
         let count = cumulative[LATENCY_BUCKETS_S.len()];
-        let _ = writeln!(out, "{name}_bucket{{{prefix}{joiner}le=\"+Inf\"}} {count}");
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
         let sum = self.sum_micros() as f64 / 1_000_000.0;
-        if prefix.is_empty() {
-            let _ = writeln!(out, "{name}_sum {sum:.6}");
-            let _ = writeln!(out, "{name}_count {count}");
-        } else {
-            let _ = writeln!(out, "{name}_sum{{{prefix}}} {sum:.6}");
-            let _ = writeln!(out, "{name}_count{{{prefix}}} {count}");
-        }
+        let _ = writeln!(out, "{name}_sum {sum:.6}");
+        let _ = writeln!(out, "{name}_count {count}");
     }
-}
-
-/// Appends a `# HELP`/`# TYPE` family header with no samples — the shape
-/// a labeled family needs (one header, then one sample per label set via
-/// [`render_labeled`] or [`Histogram::render_series`]).
-pub fn render_family(out: &mut String, name: &str, kind: &str, help: &str) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-/// Appends one labeled sample line (no header; see [`render_family`]).
-pub fn render_labeled(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "{name}{{{}}} {value}", label_text(labels));
-}
-
-/// `k1="v1",k2="v2"` with label values escaped per the exposition format
-/// (backslash, double quote, and newline are the only specials).
-fn label_text(labels: &[(&str, &str)]) -> String {
-    let mut text = String::new();
-    for (i, (key, value)) in labels.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        text.push_str(key);
-        text.push_str("=\"");
-        for c in value.chars() {
-            match c {
-                '\\' => text.push_str("\\\\"),
-                '"' => text.push_str("\\\""),
-                '\n' => text.push_str("\\n"),
-                other => text.push(other),
-            }
-        }
-        text.push('"');
-    }
-    text
 }
 
 /// Appends one `# HELP`/`# TYPE`/sample triple for a single-valued metric.
@@ -272,49 +215,6 @@ mod tests {
         assert!(out.contains("ltt_request_duration_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(out.contains("ltt_request_duration_seconds_count 1"));
         assert!(out.contains("ltt_request_duration_seconds_sum 0.001000"));
-    }
-
-    #[test]
-    fn labeled_series_share_one_family_header() {
-        let mut out = String::new();
-        render_family(&mut out, "ltt_backend_rpcs_total", "counter", "rpcs");
-        render_labeled(
-            &mut out,
-            "ltt_backend_rpcs_total",
-            &[("backend", "127.0.0.1:1")],
-            3,
-        );
-        render_labeled(
-            &mut out,
-            "ltt_backend_rpcs_total",
-            &[("backend", "127.0.0.1:2")],
-            5,
-        );
-        assert_eq!(out.matches("# TYPE ltt_backend_rpcs_total").count(), 1);
-        assert!(out.contains("ltt_backend_rpcs_total{backend=\"127.0.0.1:1\"} 3"));
-        assert!(out.contains("ltt_backend_rpcs_total{backend=\"127.0.0.1:2\"} 5"));
-        // Label values escape the exposition format's three specials.
-        let mut esc = String::new();
-        render_labeled(&mut esc, "m", &[("k", "a\"b\\c\nd")], 1);
-        assert_eq!(esc, "m{k=\"a\\\"b\\\\c\\nd\"} 1\n");
-    }
-
-    #[test]
-    fn histogram_series_renders_with_labels() {
-        let h = Histogram::new();
-        h.observe(Duration::from_millis(1));
-        let mut out = String::new();
-        render_family(&mut out, "d", "histogram", "latency");
-        h.render_series(&mut out, "d", &[("backend", "b1")]);
-        assert!(out.contains("d_bucket{backend=\"b1\",le=\"0.001\"} 1"));
-        assert!(out.contains("d_bucket{backend=\"b1\",le=\"+Inf\"} 1"));
-        assert!(out.contains("d_sum{backend=\"b1\"} 0.001000"));
-        assert!(out.contains("d_count{backend=\"b1\"} 1"));
-        // The unlabeled render is unchanged by the refactor.
-        let mut plain = String::new();
-        h.render(&mut plain, "d", "latency");
-        assert!(plain.contains("d_bucket{le=\"0.001\"} 1"));
-        assert!(plain.contains("d_sum 0.001000"));
     }
 
     #[test]

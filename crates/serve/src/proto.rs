@@ -56,14 +56,8 @@ pub enum ErrorCode {
     /// The request line exceeded the server's line-length cap. The rest of
     /// the oversize line is discarded; the connection stays usable.
     TooLarge,
-    /// A client-side or router-side timeout expired before the peer
-    /// answered.
+    /// A client-side timeout expired before the peer answered.
     Timeout,
-    /// The router exhausted every candidate backend (connect refused,
-    /// timeouts, open breakers) without obtaining a reply. Nothing may
-    /// have executed, or an executed reply was lost — the request is safe
-    /// to retry.
-    Unavailable,
     /// The server failed internally (a panicking worker, a lost reply).
     Internal,
 }
@@ -80,7 +74,6 @@ impl ErrorCode {
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::TooLarge => "too_large",
             ErrorCode::Timeout => "timeout",
-            ErrorCode::Unavailable => "unavailable",
             ErrorCode::Internal => "internal",
         }
     }
@@ -220,31 +213,6 @@ impl EditSpec {
     /// timing annotations.
     pub fn is_structural(&self) -> bool {
         matches!(self, EditSpec::Rewire { .. })
-    }
-
-    /// The canonical wire object for this edit — used by the router to
-    /// replay patch chains verbatim onto a failed-over backend.
-    pub fn to_json(&self) -> Json {
-        match self {
-            EditSpec::SetDelay { gate, min, max } => Json::obj([
-                ("gate", Json::str(gate.clone())),
-                (
-                    "delay",
-                    if min == max {
-                        Json::Int(i64::from(*min))
-                    } else {
-                        Json::Arr(vec![Json::Int(i64::from(*min)), Json::Int(i64::from(*max))])
-                    },
-                ),
-            ]),
-            EditSpec::Rewire { gate, inputs } => Json::obj([
-                ("gate", Json::str(gate.clone())),
-                (
-                    "inputs",
-                    Json::Arr(inputs.iter().map(|i| Json::str(i.clone())).collect()),
-                ),
-            ]),
-        }
     }
 
     fn parse(item: &Json) -> Result<EditSpec, ProtoError> {
@@ -942,25 +910,34 @@ mod tests {
     }
 
     #[test]
-    fn edit_spec_round_trips_through_its_wire_form() {
-        for edit in [
-            EditSpec::SetDelay {
-                gate: "g1".into(),
-                min: 12,
-                max: 12,
-            },
-            EditSpec::SetDelay {
-                gate: "g2".into(),
-                min: 3,
-                max: 9,
-            },
-            EditSpec::Rewire {
-                gate: "g3".into(),
-                inputs: vec!["a".into(), "b".into()],
-            },
+    fn edit_spec_parses_each_wire_form() {
+        for (text, edit) in [
+            (
+                r#"{"gate":"g1","delay":12}"#,
+                EditSpec::SetDelay {
+                    gate: "g1".into(),
+                    min: 12,
+                    max: 12,
+                },
+            ),
+            (
+                r#"{"gate":"g2","delay":[3,9]}"#,
+                EditSpec::SetDelay {
+                    gate: "g2".into(),
+                    min: 3,
+                    max: 9,
+                },
+            ),
+            (
+                r#"{"gate":"g3","inputs":["a","b"]}"#,
+                EditSpec::Rewire {
+                    gate: "g3".into(),
+                    inputs: vec!["a".into(), "b".into()],
+                },
+            ),
         ] {
-            let reparsed = EditSpec::parse(&edit.to_json()).unwrap();
-            assert_eq!(reparsed, edit);
+            let parsed = EditSpec::parse(&decode(text).unwrap()).unwrap();
+            assert_eq!(parsed, edit, "{text}");
         }
     }
 

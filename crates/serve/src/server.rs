@@ -44,7 +44,7 @@ use ltt_core::{
 use ltt_netlist::NetId;
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -145,26 +145,12 @@ struct Job {
     id: Option<Json>,
 }
 
-/// Chaos-relevant identity and state shared by [`Shared`] and every
-/// [`ReplyHandle`] (a separate `Arc` so reply handles sitting in queued
-/// jobs never keep the whole server state alive).
-struct ChaosCtx {
-    /// Abrupt-death flag (see [`ServerHandle::kill`]): suppress replies,
-    /// tear connections down, drop pending work unanswered.
-    killed: AtomicBool,
-    /// The bound address as a string — the failpoint *context* for this
-    /// process's chaos sites, so a test can target one backend of an
-    /// in-process fleet.
-    self_addr: String,
-}
-
 /// State shared by the accept loop, readers, workers, and handles.
 struct Shared {
     registry: CircuitRegistry,
     queue: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     draining: AtomicBool,
-    chaos: Arc<ChaosCtx>,
     queue_cap: usize,
     max_line_bytes: usize,
     counters: Counters,
@@ -177,10 +163,6 @@ struct Shared {
 impl Shared {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
-    }
-
-    fn killed(&self) -> bool {
-        self.chaos.killed.load(Ordering::Acquire)
     }
 
     fn begin_drain(&self) {
@@ -229,28 +211,13 @@ impl Shared {
 #[derive(Clone)]
 struct ReplyHandle {
     stream: Arc<Mutex<TcpStream>>,
-    chaos: Arc<ChaosCtx>,
 }
 
 impl ReplyHandle {
     /// Sends one response line. Write errors are swallowed: a reply that
     /// cannot be delivered means the client is gone, and the connection's
     /// cancel token (driven by the reader's EOF) already handles that.
-    ///
-    /// Two chaos paths simulate a crashed backend at the worst possible
-    /// moment — *after* the work executed, *instead of* replying: a
-    /// [`kill`](ServerHandle::kill) in progress, and the
-    /// `serve::drop_reply` failpoint (context = this server's address).
-    /// Both tear the connection down so the peer sees a reset, never a
-    /// silent hang and never a wrong answer.
     fn send(&self, response: &Json) {
-        if self.chaos.killed.load(Ordering::Acquire)
-            || ltt_core::failpoint::hit_flagged("serve::drop_reply", &self.chaos.self_addr)
-        {
-            let stream = self.stream.lock().expect("reply lock poisoned");
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
         let mut stream = self.stream.lock().expect("reply lock poisoned");
         let _ = writeln!(stream, "{}", response.encode());
         let _ = stream.flush();
@@ -262,29 +229,11 @@ impl ReplyHandle {
 #[derive(Clone)]
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    addr: SocketAddr,
 }
 
 impl ServerHandle {
-    /// The bound address (with the real port when `addr` requested `:0`).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Begins a graceful drain, exactly like a `shutdown` request.
     pub fn shutdown(&self) {
-        self.shared.begin_drain();
-    }
-
-    /// Kills the server abruptly — the chaos counterpart of
-    /// [`shutdown`](ServerHandle::shutdown). Pending and in-flight work is
-    /// dropped *unanswered*, every connection is torn down, and no further
-    /// reply ever leaves the process, exactly as if the backend crashed.
-    /// Peers observe connection resets or timeouts, never a wrong answer.
-    pub fn kill(&self) {
-        self.shared.chaos.killed.store(true, Ordering::Release);
-        // Reuse the drain machinery to wake blocked workers and stop the
-        // accept loop; the killed flag turns that "drain" into a crash.
         self.shared.begin_drain();
     }
 
@@ -313,16 +262,11 @@ impl Server {
     /// run until [`Server::run`].
     pub fn bind(config: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let self_addr = listener.local_addr()?.to_string();
         let shared = Arc::new(Shared {
             registry: CircuitRegistry::new(config.registry_cap),
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             draining: AtomicBool::new(false),
-            chaos: Arc::new(ChaosCtx {
-                killed: AtomicBool::new(false),
-                self_addr,
-            }),
             queue_cap: config.queue_cap.max(1),
             max_line_bytes: config.max_line_bytes.max(1024),
             counters: Counters::default(),
@@ -349,10 +293,6 @@ impl Server {
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             shared: self.shared.clone(),
-            addr: self
-                .listener
-                .local_addr()
-                .expect("bound listener has an address"),
         }
     }
 
@@ -425,13 +365,6 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut queue = shared.queue.lock().expect("queue lock poisoned");
             loop {
-                if shared.killed() {
-                    // Crash semantics: everything still queued dies
-                    // unanswered (the peers' connections are being torn
-                    // down; they will observe resets, not replies).
-                    queue.clear();
-                    break None;
-                }
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
                 }
@@ -454,16 +387,7 @@ fn worker_loop(shared: &Shared) {
         // the handler returned normally, and the two partition every job
         // a worker finishes (the accounting identity on `Counters` needs
         // exactly-once attribution, not double counting).
-        let work = job.work;
-        let chaos = shared.chaos.clone();
-        let (response, panicked) = match catch_unwind(AssertUnwindSafe(move || {
-            // Chaos site: a `Stall` here simulates a wedged backend (the
-            // router's rpc timeout must fire); a `Panic` exercises the
-            // structured internal-error path. Context = this server's
-            // address, so one backend of an in-process fleet can be hit.
-            ltt_core::failpoint::hit("serve::worker", &chaos.self_addr);
-            work()
-        })) {
+        let (response, panicked) = match catch_unwind(AssertUnwindSafe(job.work)) {
             Ok(response) => (response, false),
             Err(_) => (
                 error_response(
@@ -521,7 +445,6 @@ fn read_loop(stream: TcpStream, shared: &Arc<Shared>, cancel: &CancelToken) -> b
     let reply = match stream.try_clone() {
         Ok(w) => ReplyHandle {
             stream: Arc::new(Mutex::new(w)),
-            chaos: shared.chaos.clone(),
         },
         Err(_) => return true,
     };
@@ -553,9 +476,6 @@ fn read_loop(stream: TcpStream, shared: &Arc<Shared>, cancel: &CancelToken) -> b
             // Timeout mid-wait: any partial line stays buffered inside the
             // reader; the next call resumes where this one stopped.
             Ok(LineRead::TimedOut) => {
-                if shared.killed() {
-                    return true;
-                }
                 if shared.draining() {
                     return false;
                 }

@@ -1,16 +1,14 @@
 //! ECO patch over the wire: `patch` registers a rebased revision whose
 //! served reports are **bit-identical** to a cold session on the edited
 //! circuit, while untouched cones answer from the transplanted result
-//! cache (`"reused":true`) without re-executing. The identity must
-//! survive the router hop, and chained patches must land on the same
-//! content id as one batched patch.
+//! cache (`"reused":true`) without re-executing. Chained patches must
+//! land on the same content id as one batched patch.
 
 use ltt_core::{BatchRunner, CheckSession};
 use ltt_netlist::bench_format::parse_bench;
 use ltt_netlist::{CircuitEdit, DelayInterval, NetId};
 use ltt_serve::proto::{batch_json, ok_response};
-use ltt_serve::{patched_id, Client, EditSpec, Json, Router, RouterConfig, ServeConfig, Server};
-use std::time::Duration;
+use ltt_serve::{patched_id, Client, EditSpec, Json, ServeConfig, Server};
 
 /// Two structurally independent output cones: an edit inside `y`'s cone
 /// must leave every analysis and cached report for `z` transplantable.
@@ -341,95 +339,4 @@ fn chained_patches_land_on_the_same_revision_as_one_batch() {
     let _ = client.call(&Json::obj([("op", Json::str("shutdown"))]));
     drop(client);
     join.join().expect("server thread").expect("clean drain");
-}
-
-#[test]
-fn routed_patches_are_bit_identical_to_a_direct_daemon() {
-    let config = RouterConfig {
-        spawn: 2,
-        backend_jobs: 2,
-        jobs: 4,
-        max_retries: 2,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(40),
-        connect_timeout: Duration::from_millis(500),
-        rpc_timeout: Duration::from_secs(5),
-        breaker_threshold: 3,
-        breaker_cooldown: Duration::from_millis(200),
-        health_interval: Duration::from_millis(100),
-        ..Default::default()
-    };
-    let router = Router::bind(config).expect("bind router");
-    let router_addr = router.local_addr().expect("addr").to_string();
-    let router_join = std::thread::spawn(move || router.run());
-    let (direct_addr, direct_join) = start_server();
-
-    let mut routed = Client::connect(&router_addr).expect("connect router");
-    let mut local = Client::connect(&direct_addr).expect("connect direct");
-
-    let key_r = register(&mut routed, "two-cone", TWO_CONE);
-    let key_d = register(&mut local, "two-cone", TWO_CONE);
-    assert_eq!(key_r, key_d, "content ids are address-independent");
-
-    let deltas = [5i64, 20, 21];
-    let names = ["y", "z"];
-
-    // Identical traffic on both paths: warm batch, patch with bundled
-    // checks, then a follow-up batch against the *child* id (exercising
-    // the router's patched-revision cache and root-route colocation).
-    let warm = Json::obj([
-        ("op", Json::str("batch_check")),
-        ("circuit", Json::str(key_r.clone())),
-        ("checks", Json::Arr(check_items(&names, &deltas))),
-        ("id", Json::Int(1)),
-    ]);
-    let edit = Json::obj([("gate", Json::str("u")), ("delay", Json::Int(35))]);
-    let patch = patch_request(
-        &key_r,
-        Some("two-cone-v2"),
-        vec![edit],
-        Some(check_items(&names, &deltas)),
-    );
-    let child_id = patched_id(
-        &key_r,
-        &[EditSpec::SetDelay {
-            gate: "u".to_string(),
-            min: 35,
-            max: 35,
-        }],
-    );
-    let followups = [
-        Json::obj([
-            ("op", Json::str("batch_check")),
-            ("circuit", Json::str(child_id.clone())),
-            ("checks", Json::Arr(check_items(&names, &deltas))),
-            ("id", Json::Int(2)),
-        ]),
-        // The named alias must resolve on the routed path too.
-        Json::obj([
-            ("op", Json::str("check")),
-            ("circuit", Json::str("two-cone-v2")),
-            ("output", Json::str("z")),
-            ("delta", Json::Int(20)),
-            ("id", Json::Int(3)),
-        ]),
-    ];
-    for request in std::iter::once(&warm)
-        .chain(std::iter::once(&patch))
-        .chain(followups.iter())
-    {
-        let via_fleet = routed.call(request).expect("routed reply");
-        let via_daemon = local.call(request).expect("direct reply");
-        assert_eq!(
-            strip(&via_fleet, false).encode(),
-            strip(&via_daemon, false).encode(),
-            "fleet and daemon must agree bit-for-bit on {}",
-            request.encode()
-        );
-    }
-
-    let _ = routed.call(&Json::obj([("op", Json::str("shutdown"))]));
-    router_join.join().expect("router thread").expect("drain");
-    let _ = local.call(&Json::obj([("op", Json::str("shutdown"))]));
-    direct_join.join().expect("direct thread").expect("drain");
 }
